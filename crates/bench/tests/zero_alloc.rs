@@ -260,27 +260,33 @@ fn coupled_step_is_allocation_free_after_warmup() {
 
 #[test]
 fn standard_enkf_analysis_is_allocation_free_after_warmup() {
-    let mut rng = GaussianSampler::new(42);
+    // Both sides of the analysis: m = 30 > N factors the N × N
+    // ensemble-space matrix, m = 12 ≤ N the m × m innovation covariance.
     let n_state = 200;
-    let m_obs = 30;
     let n_ens = 16;
-    let mut x = rng.normal_matrix(n_state, n_ens, 1.0);
-    let y = x.submatrix(0, m_obs, 0, n_ens);
-    let data = vec![0.5; m_obs];
-    let obs_var = vec![0.3; m_obs];
-    let filter = EnsembleKalmanFilter::default();
-    let mut ws = AnalysisWorkspace::new();
-    filter
-        .analyze_ws(&mut x, &y, &data, &obs_var, &mut rng, &mut ws)
-        .unwrap();
-    let n = allocations_during(|| {
-        for _ in 0..3 {
-            filter
-                .analyze_ws(&mut x, &y, &data, &obs_var, &mut rng, &mut ws)
-                .unwrap();
-        }
-    });
-    assert_eq!(n, 0, "EnKF analyze_ws must not allocate in steady state");
+    for m_obs in [30, 12] {
+        let mut rng = GaussianSampler::new(42);
+        let mut x = rng.normal_matrix(n_state, n_ens, 1.0);
+        let y = x.submatrix(0, m_obs, 0, n_ens);
+        let data = vec![0.5; m_obs];
+        let obs_var = vec![0.3; m_obs];
+        let filter = EnsembleKalmanFilter::default();
+        let mut ws = AnalysisWorkspace::new();
+        filter
+            .analyze_ws(&mut x, &y, &data, &obs_var, &mut rng, &mut ws)
+            .unwrap();
+        let n = allocations_during(|| {
+            for _ in 0..3 {
+                filter
+                    .analyze_ws(&mut x, &y, &data, &obs_var, &mut rng, &mut ws)
+                    .unwrap();
+            }
+        });
+        assert_eq!(
+            n, 0,
+            "EnKF analyze_ws (m = {m_obs}, N = {n_ens}) must not allocate in steady state"
+        );
+    }
 }
 
 #[test]

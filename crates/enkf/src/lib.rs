@@ -54,6 +54,16 @@ pub enum EnkfError {
     EnsembleTooSmall,
     /// Grid mismatch between fields.
     Grid(wildfire_grid::GridError),
+    /// An observation input holds a NaN or an infinity.
+    NonFinite {
+        /// Which input: `data`, `synthetic observations` or `obs_var`.
+        what: &'static str,
+    },
+    /// An observation error variance is negative.
+    NegativeVariance {
+        /// Index of the first negative entry of `obs_var`.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for EnkfError {
@@ -63,6 +73,10 @@ impl std::fmt::Display for EnkfError {
             EnkfError::DimensionMismatch { what } => write!(f, "dimension mismatch: {what}"),
             EnkfError::EnsembleTooSmall => write!(f, "ensemble needs at least 2 members"),
             EnkfError::Grid(e) => write!(f, "grid: {e}"),
+            EnkfError::NonFinite { what } => write!(f, "non-finite {what}"),
+            EnkfError::NegativeVariance { index } => {
+                write!(f, "observation variance {index} is negative")
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Reusable scratch buffers for allocation-free filter analyses.
 //!
 //! One stochastic-EnKF analysis allocated seven dense temporaries — the
-//! anomaly matrices, the innovation covariance and its Cholesky factor, the
+//! anomaly matrices, the factored SPD system and its Cholesky factor, the
 //! perturbed innovations, and the two update products. On the paper's cycle
 //! (analysis every few minutes of simulation time, 25 members, grid-sized
 //! states) that is megabytes of allocator traffic per cycle for buffers
@@ -22,12 +22,16 @@ pub struct AnalysisWorkspace {
     pub a: Matrix,
     /// Observation anomaly matrix `HA` (`m × N`).
     pub ha: Matrix,
-    /// Innovation covariance `C` (`m × m`) — the ETKF reuses this slot for
-    /// its ensemble-space matrix `M` (`N × N`).
+    /// The factored SPD system: the innovation covariance
+    /// `C = HA·HAᵀ/(N−1) + D` (`m × m`) when `m ≤ N`, and
+    /// `G = (N−1)·I + HAᵀD⁻¹HA` (`N × N`) when `m > N` — the ETKF reuses
+    /// this slot for its ensemble-space matrix `M` (`N × N`).
     pub c: Matrix,
-    /// Cholesky factor of `C`.
+    /// Cholesky factor of `c` (`m × m` or `N × N`).
     pub l: Matrix,
-    /// Perturbed innovations `Δ`, solved in place into `Z` (`m × N`).
+    /// Perturbed innovations `Δ` (`m × N` on both sides): solved in place
+    /// into `Z = C⁻¹Δ` when `m ≤ N`, scaled in place into `D⁻¹Δ` when
+    /// `m > N`.
     pub delta: Matrix,
     /// Ensemble-space weights `W` (`N × N`).
     pub w: Matrix,
@@ -38,7 +42,8 @@ pub struct AnalysisWorkspace {
     pub mean_x: Vec<f64>,
     /// Ensemble mean of the synthetic observations.
     pub mean_y: Vec<f64>,
-    /// Length-`m` innovation scratch.
+    /// Length-`m` innovation scratch — the stochastic EnKF keeps `D⁻¹`
+    /// here when `m > N`.
     pub innov: Vec<f64>,
     /// Length-`N` ensemble-space scratch.
     pub wvec: Vec<f64>,

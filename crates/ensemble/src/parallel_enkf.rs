@@ -1,17 +1,19 @@
 //! Parallel ensemble linear algebra (the "Parallel linear algebra" box of
 //! Fig. 2).
 //!
-//! The dominant dense product of the analysis step — the state update
-//! `X ← X + A·W` with `A` of size (state × members) — is fanned out over
-//! output columns. Each output column is an independent sequence of axpy
-//! operations, so the parallel result is **bit-for-bit identical** to the
-//! sequential one (no reduction-order differences), which keeps parallel
-//! runs reproducible — a property the tests pin down.
+//! The weights `W` come from the stochastic EnKF's shared solve
+//! ([`EnsembleKalmanFilter::weights_ws`]); the dominant dense product of
+//! the analysis step — the state update `X ← X + A·W` with `A` of size
+//! (state × members) — is fanned out over output columns. Each output
+//! column is an independent sequence of axpy operations, so the parallel
+//! result is **bit-for-bit identical** to the sequential one (no
+//! reduction-order differences), which keeps parallel runs reproducible —
+//! a property the tests pin down.
 
 use crate::pool::parallel_for_each_column;
 use crate::Result;
-use wildfire_enkf::{AnalysisWorkspace, EnkfError};
-use wildfire_math::{Cholesky, GaussianSampler, Matrix};
+use wildfire_enkf::{AnalysisWorkspace, EnkfConfig, EnkfError, EnsembleKalmanFilter};
+use wildfire_math::{GaussianSampler, Matrix};
 
 /// Stochastic EnKF with column-parallel state update.
 #[derive(Debug, Clone)]
@@ -51,7 +53,7 @@ impl ParallelEnkf {
     /// [`wildfire_enkf::EnsembleKalmanFilter::analyze`].
     ///
     /// # Errors
-    /// Dimension mismatches and linear-algebra failures.
+    /// Same as [`EnsembleKalmanFilter::analyze`].
     pub fn analyze(
         &self,
         ensemble: &mut Matrix,
@@ -72,7 +74,7 @@ impl ParallelEnkf {
     /// allocating wrapper for every thread count.
     ///
     /// # Errors
-    /// Dimension mismatches and linear-algebra failures.
+    /// Same as [`EnsembleKalmanFilter::analyze`].
     pub fn analyze_ws(
         &self,
         ensemble: &mut Matrix,
@@ -82,58 +84,17 @@ impl ParallelEnkf {
         rng: &mut GaussianSampler,
         ws: &mut AnalysisWorkspace,
     ) -> Result<()> {
-        let (n, n_ens) = ensemble.dims();
-        let (m, n_ens2) = synthetic.dims();
-        if n_ens < 2 {
-            return Err(EnkfError::EnsembleTooSmall.into());
+        let filter = EnsembleKalmanFilter::new(EnkfConfig {
+            inflation: self.inflation,
+            ridge: 0.0,
+        });
+        if filter.weights_ws(ensemble, synthetic, data, obs_var, rng, ws)? {
+            // The big product, parallel over output columns.
+            self.matmul_cols_into(&ws.a, &ws.w, &mut ws.update);
+            ensemble
+                .axpy_mut(1.0, &ws.update)
+                .map_err(EnkfError::Math)?;
         }
-        if n_ens2 != n_ens || data.len() != m || obs_var.len() != m {
-            return Err(EnkfError::DimensionMismatch {
-                what: "parallel enkf inputs",
-            }
-            .into());
-        }
-        if m == 0 || n == 0 {
-            return Ok(());
-        }
-        ensemble.anomalies_into(&mut ws.a, &mut ws.mean_x);
-        let a = &mut ws.a;
-        if self.inflation != 1.0 {
-            a.scale_mut(self.inflation);
-            for j in 0..n_ens {
-                for i in 0..n {
-                    ensemble[(i, j)] = ws.mean_x[i] + a[(i, j)];
-                }
-            }
-        }
-        synthetic.anomalies_into(&mut ws.ha, &mut ws.mean_y);
-        let ha = &ws.ha;
-        let scale = 1.0 / (n_ens as f64 - 1.0);
-        let c = &mut ws.c;
-        ha.matmul_tr_into(ha, c).map_err(EnkfError::Math)?;
-        c.scale_mut(scale);
-        for i in 0..m {
-            c[(i, i)] += obs_var[i];
-        }
-        Cholesky::factor_into(c, &mut ws.l).map_err(EnkfError::Math)?;
-        let delta = &mut ws.delta;
-        delta.resize_zeroed(m, n_ens);
-        for j in 0..n_ens {
-            for i in 0..m {
-                delta[(i, j)] = data[i] + rng.normal(0.0, obs_var[i].sqrt()) - synthetic[(i, j)];
-            }
-        }
-        for j in 0..n_ens {
-            Cholesky::solve_in_place_with(&ws.l, delta.col_mut(j));
-        }
-        let w = &mut ws.w;
-        ha.tr_matmul_into(delta, w).map_err(EnkfError::Math)?;
-        w.scale_mut(scale);
-        // The big product, parallel over output columns.
-        self.matmul_cols_into(&ws.a, w, &mut ws.update);
-        ensemble
-            .axpy_mut(1.0, &ws.update)
-            .map_err(EnkfError::Math)?;
         Ok(())
     }
 }
@@ -141,7 +102,6 @@ impl ParallelEnkf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wildfire_enkf::{EnkfConfig, EnsembleKalmanFilter};
 
     #[test]
     fn parallel_matches_sequential_bitwise() {
@@ -189,6 +149,22 @@ mod tests {
             .unwrap();
         let mean: f64 = x.col_mean().iter().sum::<f64>() / 10.0;
         assert!(mean > 3.0, "analysis mean {mean}");
+    }
+
+    #[test]
+    fn rejects_non_finite_observations_before_drawing() {
+        let mut rng = GaussianSampler::new(5);
+        let mut x = rng.normal_matrix(8, 6, 1.0);
+        let y = x.submatrix(0, 4, 0, 6);
+        let state0 = rng.state();
+        let err = ParallelEnkf::new(2, 1.0)
+            .analyze(&mut x, &y, &[0.0, f64::NAN, 0.0, 0.0], &[0.1; 4], &mut rng)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            crate::EnsembleError::Filter(EnkfError::NonFinite { what: "data" })
+        ));
+        assert_eq!(rng.state(), state0);
     }
 
     #[test]

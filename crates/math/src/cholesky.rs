@@ -1,9 +1,10 @@
 //! Cholesky factorization `A = L·Lᵀ` of symmetric positive definite matrices.
 //!
-//! The EnKF analysis step solves one `m × m` SPD system per assimilation
-//! cycle (`m` = number of observations), and multivariate Gaussian sampling
-//! needs a matrix square root of the observation error covariance — both use
-//! this factorization.
+//! The EnKF analysis step solves one SPD system per assimilation cycle —
+//! the `m × m` innovation covariance when there are no more observations
+//! than ensemble members, otherwise its `N × N` ensemble-space counterpart —
+//! and multivariate Gaussian sampling needs a matrix square root of the
+//! observation error covariance; both use this factorization.
 
 use crate::matrix::Matrix;
 use crate::{MathError, Result};
