@@ -1,6 +1,8 @@
-//! Criterion bench for the batched multi-fire layer: `SimBatch` (SoA
-//! group-fused stepping on the shared pool) against the same fires run as
-//! independent `Simulation` loops work-stolen from an identical pool.
+//! Criterion bench for the batched multi-fire layer: `SimBatch` (one
+//! work-stolen `run_until` per slot on the shared pool) against the same
+//! fires run as independent `Simulation` loops work-stolen from an
+//! identical pool. The two arms do the same work, so they should measure
+//! within noise of each other.
 //!
 //! The perf harness (`perf_report`/`perf_gate`) records the same comparison
 //! under the `sim_batch::…` labels; this bench gives the criterion view

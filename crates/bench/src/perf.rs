@@ -318,19 +318,15 @@ pub fn time_level_set_rhs(small: bool, evals: usize) -> [StepTiming; 2] {
 
 /// Times batched multi-fire stepping ([`SimBatch`]) against the same
 /// `n_fires` fig1-sized fires advanced as independent [`Simulation`] loops
-/// distributed over the same worker pool — the ISSUE-7 acceptance
-/// comparison. The fires are ignition-displaced fig1 variants sharing one
-/// solver configuration, so the batch path steps them as a single SoA
-/// group (cross-fire row sweeps); the independent baseline gets identical
-/// work-stealing parallelism but no grouping, isolating what the SoA path
-/// buys. `steps` counts fire·steps, so `steps_per_sec` is the fires·steps/s
-/// throughput. Interleaved best-of-three (batched, independent, …).
+/// distributed over the same worker pool. The fires are ignition-displaced
+/// fig1 variants. `SimBatch` itself work-steals one `run_until` per slot,
+/// so the two arms do the same work and should read within run-to-run
+/// spread of each other; the pair guards the batch's bookkeeping against
+/// regressions. `steps` counts fire·steps, so `steps_per_sec` is the
+/// fires·steps/s throughput. Interleaved best-of-three (batched,
+/// independent, …).
 ///
-/// `fast_math` (labelled `::fastmath`) selects the polynomial pow palette:
-/// that is the configuration where the grouped sweep batches its pow lanes
-/// *across fires* (`rhs_multi_batched`), so it is where the SoA fusion is
-/// designed to pay. With the default bitwise palette the grouped path runs
-/// the identical per-slot sweep and only the scheduling differs.
+/// `fast_math` (labelled `::fastmath`) selects the polynomial pow palette.
 pub fn time_sim_batch(
     small: bool,
     t_end: f64,
@@ -354,7 +350,7 @@ pub fn time_sim_batch(
     let mut best = [f64::INFINITY; 2];
     let mut steps = [0usize; 2];
     for _rep in 0..3 {
-        // Batched: one SoA group stepped cooperatively on the pool.
+        // Batched: the fires as slots of one SimBatch.
         let mut batch = SimBatch::new(threads);
         for sim in build() {
             batch.push(sim);
@@ -366,7 +362,7 @@ pub fn time_sim_batch(
         best[0] = best[0].min(wall);
 
         // Independent: the same fires, each through its own run_until loop,
-        // work-stolen from the same pool (parallelism yes, grouping no).
+        // work-stolen from the same pool without the batch around them.
         let mut sims: Vec<(Simulation, usize)> = build().into_iter().map(|s| (s, 0usize)).collect();
         let mut scratch = vec![(); threads.max(1)];
         let start = Instant::now();
@@ -399,11 +395,9 @@ pub fn time_sim_batch(
 
 /// Times [`SimBatch`] against independent loops on the **service shape**:
 /// many narrow-grid fires (a 13×13 fire mesh each, the forecast-service
-/// request granularity) spread over a multi-worker pool. On grids this
-/// small the adaptive lockstep-unit bound widens well past the legacy
-/// cap of 4, so this is the configuration that exercises wide SoA groups;
-/// labels are `sim_batch::service::…`. Interleaved best-of-three, same
-/// protocol as [`time_sim_batch`].
+/// request granularity) spread over a multi-worker pool; labels are
+/// `sim_batch::service::…`. Interleaved best-of-three, same protocol as
+/// [`time_sim_batch`].
 pub fn time_sim_batch_service(t_end: f64, n_fires: usize, threads: usize) -> [StepTiming; 2] {
     let domain = DomainSpec {
         nx: 5,
@@ -811,23 +805,21 @@ pub fn measure_filtered(
         timings.extend(time_poisson_smoother(small, 20_000));
     }
 
-    // Batched multi-fire scaling (ISSUE 7): SimBatch vs independent loops
-    // at N ∈ {1, 4, 16, 64} group-compatible fig1 fires. A shorter horizon
-    // than the per-scenario entries keeps the N=64 sweep affordable on the
-    // full domain.
+    // Batched multi-fire scaling: SimBatch vs independent loops at
+    // N ∈ {1, 4, 16, 64} fig1 fires. A shorter horizon than the
+    // per-scenario entries keeps the N=64 sweep affordable on the full
+    // domain.
     if sect("sim_batch") {
         let t_batch = if small { t_end } else { t_end.min(15.0) };
         for n_fires in [1usize, 4, 16, 64] {
             timings.extend(time_sim_batch(small, t_batch, n_fires, threads, false));
         }
-        // The fast-math palette is where the grouped sweep batches pow
-        // lanes across fires — the configuration the SoA path targets.
+        // The same comparison under the fast-math pow palette.
         for n_fires in [16usize, 64] {
             timings.extend(time_sim_batch(small, t_batch, n_fires, threads, true));
         }
-        // Service shape (ISSUE 8): many narrow-grid fires on a multi-worker
-        // pool — the forecast-service request granularity, where the
-        // adaptive lockstep-unit bound widens the SoA groups.
+        // Service shape: many narrow-grid fires on a multi-worker pool,
+        // the forecast-service request granularity.
         for n_fires in [8usize, 32] {
             timings.extend(time_sim_batch_service(30.0, n_fires, 4));
         }

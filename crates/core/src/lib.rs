@@ -24,9 +24,7 @@ pub mod coupled;
 pub mod diagnostics;
 pub mod workspace;
 
-pub use coupled::{
-    step_group_scratch_ws, step_group_ws, BatchSlot, CoupledModel, CoupledState, GroupScratch,
-};
+pub use coupled::{CoupledModel, CoupledState};
 pub use diagnostics::StepDiagnostics;
 pub use workspace::CoupledWorkspace;
 

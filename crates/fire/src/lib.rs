@@ -46,7 +46,7 @@ pub mod state;
 pub mod workspace;
 
 pub use ignition::IgnitionShape;
-pub use levelset::{AdvanceStats, GradientScheme, GroupSlot, Integrator, LevelSetSolver};
+pub use levelset::{AdvanceStats, GradientScheme, Integrator, LevelSetSolver};
 pub use mesh::{FireMesh, FuelMap};
 pub use reinit::{reinitialize, reinitialize_into};
 pub use state::FireState;

@@ -15,8 +15,8 @@
 //!   shared batch — late-arriving requests join the running batch and
 //!   catch up tick by tick.
 //! * The service loop alternates batched forecasting
-//!   (`SimBatch::advance_to`, SoA cross-fire stepping over the worker
-//!   pool) with streaming assimilation: due observation reports are
+//!   (`SimBatch::advance_to`, every member slot work-stolen over the
+//!   worker pool) with streaming assimilation: due observation reports are
 //!   drained from each request's [`wildfire_obs::ObsSource`] and applied
 //!   through [`wildfire_ensemble::EnsembleDriver::cycle_source_ws`] at the
 //!   batch clock, steering the in-flight forecast.

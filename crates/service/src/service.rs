@@ -12,7 +12,9 @@
 //! 2. **Advance** — step the whole batch to the next event time: the
 //!    earliest pending horizon, clamped to one service tick past the
 //!    slowest member so late-admitted requests catch up gradually and
-//!    observation streams are polled at a bounded sim-time cadence.
+//!    observation streams are polled at a bounded sim-time cadence. A
+//!    member slot that fails fails only its own request, which is retired
+//!    with a `Failed` event; the other requests carry on.
 //! 3. **Assimilate** — per request with a source, swap the member states
 //!    out of their batch slots, run
 //!    [`EnsembleDriver::cycle_source_ws`] at the batch clock (due reports
@@ -361,16 +363,21 @@ fn service_loop(rx: &Receiver<Control>, cfg: ServiceConfig) {
             .map(|a| a.time(&batch))
             .fold(f64::INFINITY, f64::min);
         let t_step = target.min(t_min + tick);
-        let advanced = batch.advance_to(t_step);
+        let failed_slots = match batch.advance_to(t_step) {
+            Ok(()) => Vec::new(),
+            Err(e) => e.failed,
+        };
 
         // Assimilate + emit per request; retire the finished and the
-        // failed.
+        // failed. A failed slot fails only the request that owns it.
         let mut k = 0;
         while k < active.len() {
-            let failed = if let Err(e) = &advanced {
-                Some(format!("batch advance: {e}"))
-            } else {
-                assimilate_and_emit(&mut active[k], &mut batch).err()
+            let slot_failure = failed_slots
+                .iter()
+                .find(|(sid, _)| active[k].member_ids.contains(sid));
+            let failed = match slot_failure {
+                Some((sid, e)) => Some(format!("batch advance: slot {sid}: {e}")),
+                None => assimilate_and_emit(&mut active[k], &mut batch).err(),
             };
             let done = failed.is_none() && active[k].next >= active[k].horizons.len();
             if failed.is_some() || done {

@@ -199,3 +199,68 @@ fn handle_events_stream_products_then_terminal() {
     assert!(saw_product);
     service.shutdown();
 }
+
+/// Runs free-forecast requests through one service, submitted together,
+/// and returns each request's outcome in submission order.
+fn run_requests(
+    scenarios: Vec<Scenario>,
+) -> Vec<Result<Vec<wildfire_service::ForecastProduct>, ServiceError>> {
+    let service = ForecastService::start(service_config());
+    let handles: Vec<_> = scenarios
+        .into_iter()
+        .map(|scenario| {
+            let req = ForecastRequest {
+                n_members: 2,
+                position_spread: 10.0,
+                seed: 7,
+                ..ForecastRequest::free_run(scenario, vec![2.0, 4.0])
+            };
+            service.submit(req).expect("submit")
+        })
+        .collect();
+    let outcomes = handles.into_iter().map(|h| h.wait()).collect();
+    service.shutdown();
+    outcomes
+}
+
+#[test]
+fn a_poisoned_request_fails_alone() {
+    // A NaN ambient wind from t = 1 s poisons one request's members. The
+    // healthy requests around it must finish with products bitwise equal
+    // to a run without it. Horizons and tick are multiples of the 0.5 s
+    // step, so every member takes the same steps however the service
+    // schedules its advances.
+    let poisoned = SimulationBuilder::from_scenario(tiny_scenario("poisoned"))
+        .wind_shift(1.0, (f64::NAN, f64::NAN))
+        .into_scenario();
+    let with_poison = run_requests(vec![
+        tiny_scenario("healthy-a"),
+        poisoned,
+        tiny_scenario("healthy-b"),
+    ]);
+    let without = run_requests(vec![tiny_scenario("healthy-a"), tiny_scenario("healthy-b")]);
+
+    match &with_poison[1] {
+        Err(ServiceError::Failed(error)) => assert!(error.contains("batch advance"), "{error}"),
+        other => panic!("the poisoned request must fail, got {other:?}"),
+    }
+    for (mixed, clean) in [
+        (&with_poison[0], &without[0]),
+        (&with_poison[2], &without[1]),
+    ] {
+        let mixed = mixed.as_ref().expect("healthy request finishes");
+        let clean = clean.as_ref().expect("healthy request finishes");
+        assert_eq!(mixed.len(), 2);
+        for (m, c) in mixed.iter().zip(clean) {
+            // Request ids differ between the two services; everything
+            // else must match bit for bit.
+            let m = wildfire_service::ForecastProduct {
+                request: c.request,
+                ..m.clone()
+            };
+            assert_eq!(&m, c);
+            assert_eq!(m.mean_burned_area.to_bits(), c.mean_burned_area.to_bits());
+            assert_eq!(m.max_spread_rate.to_bits(), c.max_spread_rate.to_bits());
+        }
+    }
+}

@@ -1,34 +1,24 @@
-//! [`SimBatch`]: many concurrent fire forecasts stepped as one batch.
+//! [`SimBatch`]: many concurrent fire forecasts advanced together.
 //!
 //! The paper's end goal is an operational service running many data-driven
 //! fire forecasts at once, not one simulation per process. `SimBatch` is
 //! that service layer's execution core: it owns N realized
-//! [`Simulation`]s (each a coupled model + state + private workspace) and
-//! advances them toward a shared horizon with two cooperating mechanisms:
+//! [`Simulation`]s (each a coupled model + state + private workspace)
+//! under stable slot ids and advances them toward a shared horizon.
 //!
-//! * **Cooperative scheduling** — slots are claimed from a shared atomic
-//!   cursor by the ensemble worker pool
-//!   (`wildfire_ensemble::pool::parallel_for_each_dynamic_ws`), so cheap
-//!   or already-finished fires never pin a worker while another grinds
-//!   through an expensive one.
-//! * **SoA cross-fire stepping** — slots whose fire solvers are
-//!   [`group_compatible`](wildfire_core::CoupledModel) (same grid, fuel
-//!   palette, terrain, integrator and CFL configuration) are stepped in
-//!   lockstep through [`wildfire_core::step_group_ws`]: every level-set
-//!   RHS evaluation is one row-major sweep across the fires of the
-//!   unit, sharing one pass over the static kernel planes and filling
-//!   the fast-math pow lanes with nodes drawn across fires even on
-//!   narrow grids. Compatibility groups wider than the adaptive unit
-//!   bound (cache budget over the group's per-fire working set, clamped
-//!   to 4..=32) split into several lockstep units so a unit's working
-//!   set stays cache-sized and the pool has more units to balance.
+//! Nothing ties one fire's step to another's, so each slot is one work item
+//! that the ensemble worker pool claims from a shared atomic cursor
+//! (`wildfire_ensemble::pool::parallel_for_each_dynamic_ws`): cheap or
+//! already-finished fires never pin a worker while another grinds through
+//! an expensive one. Every slot steps through its own
+//! [`Simulation::run_until`], the one stepping path of the workspace, so a
+//! batched slot is bit-identical to the same simulation run alone, for
+//! every batch composition and thread count (pinned by the proptest suite
+//! in `crates/sim/tests/`).
 //!
-//! **Bitwise contract.** Batched stepping is bit-identical to running
-//! every slot alone through [`Simulation::run_until`] — grouping, lane
-//! packing and work-stealing are pure schedule changes, never arithmetic
-//! changes. The proptest suite in `crates/sim/tests/` pins this, and the
-//! single-`Simulation` path itself routes through the same grouped code
-//! as a batch of one, so there is exactly one stepping path to trust.
+//! A failing slot stops at its failing step and fails alone: every other
+//! slot still reaches the horizon, and [`SimBatch::advance_to`] names each
+//! failed slot in a [`BatchError`].
 //!
 //! ```no_run
 //! use wildfire_sim::batch::SimBatch;
@@ -47,8 +37,8 @@
 
 use crate::builder::Simulation;
 use crate::scenario::Scenario;
-use crate::{Result, SimulationBuilder};
-use wildfire_core::{step_group_scratch_ws, BatchSlot, GroupScratch, StepDiagnostics};
+use crate::{Result, SimError, SimulationBuilder};
+use wildfire_core::StepDiagnostics;
 use wildfire_ensemble::pool;
 use wildfire_fire::perimeter::perimeter_length;
 
@@ -76,13 +66,13 @@ impl Rollup {
     }
 }
 
-/// One owned simulation inside the batch plus its rollup and its stable
-/// identity (slots are re-sorted by id after every advance, since grouping
-/// permutes the internal order).
+/// One owned simulation inside the batch plus its rollup, its stable
+/// identity, and the error its last advance stopped on, if any.
 struct Slot {
     sim: Simulation,
     rollup: Rollup,
     id: usize,
+    error: Option<SimError>,
 }
 
 /// Batch-level products for one slot, as reported by
@@ -112,82 +102,25 @@ pub struct SlotProducts {
     pub peak_latent_power: f64,
 }
 
-/// Floor (and legacy fixed value) for the lockstep-unit size bound: the
-/// fallback whenever the adaptive heuristic cannot say anything better,
-/// chosen so the figure-1-scale grids keep exactly the unit shapes they
-/// had when the bound was a constant.
-const MAX_GROUP_FLOOR: usize = 4;
-
-/// Ceiling for the adaptive unit size: past this width the lockstep
-/// rotation bookkeeping dominates whatever pow-lane fill is left to gain,
-/// even when the combined working set would still fit in cache.
-const MAX_GROUP_CEIL: usize = 32;
-
-/// Cache budget (bytes) assumed for one lockstep unit's combined fire
-/// working set — roughly a per-core L2 slice. The adaptive bound packs as
-/// many fires per unit as fit this budget, clamped to
-/// [`MAX_GROUP_FLOOR`]..=[`MAX_GROUP_CEIL`].
-const GROUP_CACHE_BUDGET: usize = 2 << 20;
-
-/// Resident f64 fields per fire in a lockstep round: ψ and `t_i` of the
-/// state plus the solver scratch (k1, k2, ψ*, speed planes, …).
-const FIELDS_PER_FIRE: usize = 8;
-
-/// Upper bound on the number of fires stepped as one lockstep unit, chosen
-/// per compatibility group from its grid size: a unit should be as wide as
-/// possible (cross-fire pow lanes fill better, fewer units of pool
-/// bookkeeping) *while* its combined ψ/workspace footprint stays
-/// cache-sized — lockstep rotation across many large fires cycles their
-/// working sets through cache every sub-step and measurably loses to
-/// independent stepping. Narrow grids therefore get wide units (up to
-/// [`MAX_GROUP_CEIL`]); figure-1-scale grids fall back to the legacy
-/// [`MAX_GROUP_FLOOR`]. Deterministic: depends only on the group
-/// representative's grid, never on thread count or timing, so grouping
-/// (and through the bitwise contract, every result) is reproducible.
-fn max_group_for(rep: &Simulation) -> usize {
-    let nodes = rep.model.fire_grid.len();
-    let per_fire = nodes.saturating_mul(FIELDS_PER_FIRE * std::mem::size_of::<f64>());
-    if per_fire == 0 {
-        return MAX_GROUP_FLOOR;
-    }
-    (GROUP_CACHE_BUDGET / per_fire).clamp(MAX_GROUP_FLOOR, MAX_GROUP_CEIL)
+/// Every slot that failed during one [`SimBatch::advance_to`]. The other
+/// slots reached the horizon.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchError {
+    /// `(slot id, error)` for each failed slot, in slot order.
+    pub failed: Vec<(usize, SimError)>,
 }
 
-/// Per-worker stepping scratch for [`SimBatch::advance_to`]: the grouped
-/// core's borrow-Vec recycler plus the unit-level borrow and diagnostics
-/// buffers, all carried across rounds and units so steady-state batched
-/// stepping allocates nothing per step.
-#[derive(Default)]
-struct WorkerScratch {
-    group: GroupScratch,
-    borrows: BorrowScratch,
-    diags: Vec<StepDiagnostics>,
-}
-
-/// Capacity recycler for the per-round `Vec<BatchSlot>` of `advance_unit`,
-/// mirroring [`GroupScratch`] one layer up: empty between rounds, only the
-/// allocation is reused.
-#[derive(Default)]
-struct BorrowScratch {
-    buf: Vec<BatchSlot<'static>>,
-}
-
-impl BorrowScratch {
-    fn take<'a>(&mut self) -> Vec<BatchSlot<'a>> {
-        let v = std::mem::take(&mut self.buf);
-        debug_assert!(v.is_empty());
-        // SAFETY: the vector is empty — no `'static`-annotated value
-        // exists — so only the lifetime-free allocation is reused; the two
-        // types differ only in a lifetime parameter, so layout matches.
-        unsafe { std::mem::transmute::<Vec<BatchSlot<'static>>, Vec<BatchSlot<'a>>>(v) }
-    }
-
-    fn put(&mut self, mut v: Vec<BatchSlot<'_>>) {
-        v.clear();
-        // SAFETY: emptied above; see `take` for the layout argument.
-        self.buf = unsafe { std::mem::transmute::<Vec<BatchSlot<'_>>, Vec<BatchSlot<'static>>>(v) };
+impl std::fmt::Display for BatchError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} batch slot(s) failed", self.failed.len())?;
+        for (id, e) in &self.failed {
+            write!(f, "; slot {id}: {e}")?;
+        }
+        Ok(())
     }
 }
+
+impl std::error::Error for BatchError {}
 
 /// A batch of concurrent fire forecasts; see the [module docs](self).
 pub struct SimBatch {
@@ -218,6 +151,7 @@ impl SimBatch {
             sim,
             rollup: Rollup::default(),
             id,
+            error: None,
         });
         id
     }
@@ -243,8 +177,8 @@ impl SimBatch {
     }
 
     /// Position of the slot with the given stable id, if still present.
-    /// Slots are kept sorted by id between advances, so this is a binary
-    /// search.
+    /// Slots stay sorted by id (pushes append, removals keep the order), so
+    /// this is a binary search.
     pub fn position_of(&self, id: usize) -> Option<usize> {
         self.slots.binary_search_by_key(&id, |s| s.id).ok()
     }
@@ -264,8 +198,7 @@ impl SimBatch {
     }
 
     /// Mutable access to a slot's simulation, by stable id. Mutating model
-    /// configuration mid-batch is allowed — grouping is re-derived on
-    /// every [`SimBatch::advance_to`] call.
+    /// configuration mid-batch is allowed: every slot steps on its own.
     ///
     /// # Panics
     /// Panics when no slot has this id (e.g. after [`SimBatch::remove`]).
@@ -284,74 +217,32 @@ impl SimBatch {
     }
 
     /// Advances every slot to `horizon` (slots already past it are left
-    /// untouched). Compatible slots step as SoA groups in lockstep; groups
-    /// (and incompatible singletons) are distributed over the worker pool
-    /// by the dynamic work-stealing scheduler. Results are bit-identical
+    /// untouched), each through its own [`Simulation::run_until`], with the
+    /// slots work-stolen across the worker pool. Results are bit-identical
     /// to advancing each slot alone, for every thread count.
     ///
     /// # Errors
-    /// The first failing slot's error, with the batch left partially
-    /// advanced (failed groups stop at the failing step; other groups
-    /// complete).
-    pub fn advance_to(&mut self, horizon: f64) -> Result<()> {
-        if self.slots.is_empty() {
-            return Ok(());
-        }
-        // Greedy grouping: a slot joins the first group whose
-        // representative has a bitwise-compatible fire solver, the same
-        // reference dt, and the same clock (lockstep requirement). O(N²)
-        // in the number of groups, which is tiny.
-        let mut order: Vec<Vec<Slot>> = Vec::new();
-        for slot in self.slots.drain(..) {
-            let found = order.iter_mut().find(|group| {
-                let rep = &group[0].sim;
-                rep.model.fire.group_compatible(&slot.sim.model.fire)
-                    && rep.dt.to_bits() == slot.sim.dt.to_bits()
-                    && rep.time().to_bits() == slot.sim.time().to_bits()
-            });
-            match found {
-                Some(group) => group.push(slot),
-                None => order.push(vec![slot]),
-            }
-        }
-        // Split every compatibility group into lockstep units of at most
-        // `max_group_for(rep)` slots; workers steal units from the shared
-        // cursor. The adaptive split bounds a unit's cache working set (a
-        // 64-fire lockstep round over large grids cycles 64 ψ/workspace
-        // sets through cache every step and measurably loses to
-        // independent stepping) while letting many-narrow-grid service
-        // shapes pack wider units, and hands the pool more units to
-        // balance. Grouping is a pure schedule choice under the bitwise
-        // contract, so the split never changes results. The unit carries
-        // its outcome so the pool closure stays infallible.
-        let mut units: Vec<(Vec<Slot>, Result<()>)> = Vec::new();
-        for group in order {
-            let cap = max_group_for(&group[0].sim);
-            let mut rest = group;
-            while rest.len() > cap {
-                let tail = rest.split_off(cap);
-                units.push((rest, Ok(())));
-                rest = tail;
-            }
-            units.push((rest, Ok(())));
-        }
-        let mut worker_scratch: Vec<WorkerScratch> = Vec::new();
-        worker_scratch.resize_with(self.threads, WorkerScratch::default);
-        pool::parallel_for_each_dynamic_ws(&mut units, &mut worker_scratch, |_, unit, scratch| {
-            unit.1 = advance_unit(&mut unit.0, horizon, scratch);
+    /// A [`BatchError`] naming every slot whose step failed. A failed slot
+    /// stops at its failing step; every other slot reaches the horizon.
+    pub fn advance_to(&mut self, horizon: f64) -> std::result::Result<(), BatchError> {
+        let mut workers = vec![(); self.threads];
+        pool::parallel_for_each_dynamic_ws(&mut self.slots, &mut workers, |_, slot, ()| {
+            let rollup = &mut slot.rollup;
+            slot.error = slot
+                .sim
+                .run_until(horizon, |_, diag| rollup.absorb(diag))
+                .err();
         });
-        let mut first_err = Ok(());
-        for (group, outcome) in units {
-            if first_err.is_ok() {
-                if let Err(e) = outcome {
-                    first_err = Err(e);
-                }
-            }
-            self.slots.extend(group);
+        let failed: Vec<(usize, SimError)> = self
+            .slots
+            .iter_mut()
+            .filter_map(|s| s.error.take().map(|e| (s.id, e)))
+            .collect();
+        if failed.is_empty() {
+            Ok(())
+        } else {
+            Err(BatchError { failed })
         }
-        // Grouping permuted the slots; restore the id ordering.
-        self.slots.sort_by_key(|s| s.id);
-        first_err
     }
 
     /// The batch product table, in slot order: per-fire burned area,
@@ -376,54 +267,13 @@ impl SimBatch {
     }
 }
 
-/// Advances one compatibility group to the horizon. A singleton runs the
-/// plain [`Simulation::run_until`] loop (which itself routes through the
-/// grouped core path as a batch of one); larger groups step in lockstep
-/// rounds through [`wildfire_core::step_group_scratch_ws`], applying each
-/// slot's wind-shift schedule at the same times the independent loop
-/// would. With a warm [`WorkerScratch`] the round loop is allocation-free.
-fn advance_unit(slots: &mut [Slot], horizon: f64, scratch: &mut WorkerScratch) -> Result<()> {
-    if let [slot] = slots {
-        let rollup = &mut slot.rollup;
-        return slot.sim.run_until(horizon, |_, diag| rollup.absorb(diag));
-    }
-    scratch.diags.clear();
-    scratch
-        .diags
-        .resize(slots.len(), StepDiagnostics::default());
-    while slots[0].sim.time() < horizon - 1e-9 {
-        // All slots share dt and clock (the grouping key), so one round
-        // steps everyone by the same clamped dt — exactly the step sizes
-        // `run_until` would choose slot by slot.
-        let time = slots[0].sim.time();
-        let dt = slots[0].sim.dt.min(horizon - time);
-        for slot in slots.iter_mut() {
-            slot.sim.apply_due_shifts(time);
-        }
-        let mut group: Vec<BatchSlot<'_>> = scratch.borrows.take();
-        group.extend(slots.iter_mut().map(|slot| BatchSlot {
-            model: &slot.sim.model,
-            state: &mut slot.sim.state,
-            ws: &mut slot.sim.workspace,
-        }));
-        let stepped = step_group_scratch_ws(&mut group, dt, &mut scratch.diags, &mut scratch.group);
-        scratch.borrows.put(group);
-        stepped.map_err(crate::SimError::Model)?;
-        for (slot, diag) in slots.iter_mut().zip(scratch.diags.iter()) {
-            slot.rollup.absorb(diag);
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::DomainSpec;
     use wildfire_fire::IgnitionShape;
 
-    /// 13×13 fire mesh — small enough that the cache heuristic packs the
-    /// widest allowed lockstep units.
+    /// 13×13 fire mesh: the forecast-service request shape.
     const TINY: DomainSpec = DomainSpec {
         nx: 5,
         ny: 5,
@@ -434,7 +284,7 @@ mod tests {
         refinement: 3,
     };
 
-    fn tiny_sim(k: usize) -> Simulation {
+    fn tiny(k: usize) -> SimulationBuilder {
         let center = TINY.center();
         SimulationBuilder::new()
             .name(format!("tiny-{k}"))
@@ -443,20 +293,18 @@ mod tests {
                 center: (center.0 + 10.0 * k as f64, center.1),
                 radius: 25.0,
             })
-            .build()
-            .expect("tiny scenario builds")
     }
 
-    #[test]
-    fn adaptive_unit_bound_floors_on_paper_grids_and_widens_on_narrow() {
-        let paper = SimulationBuilder::new().build().unwrap();
-        assert_eq!(max_group_for(&paper), MAX_GROUP_FLOOR);
-        let narrow = tiny_sim(0);
-        let cap = max_group_for(&narrow);
-        assert!(
-            cap > MAX_GROUP_FLOOR && cap <= MAX_GROUP_CEIL,
-            "narrow grids should pack wider units, got {cap}"
-        );
+    fn tiny_sim(k: usize) -> Simulation {
+        tiny(k).build().expect("tiny scenario builds")
+    }
+
+    fn assert_same_trajectory(a: &Simulation, b: &Simulation) {
+        assert_eq!(a.state.fire.psi, b.state.fire.psi);
+        assert_eq!(a.state.fire.tig, b.state.fire.tig);
+        assert_eq!(a.state.fire.time.to_bits(), b.state.fire.time.to_bits());
+        assert_eq!(a.state.atmos.theta, b.state.atmos.theta);
+        assert_eq!(a.state.atmos.w, b.state.atmos.w);
     }
 
     #[test]
@@ -479,14 +327,12 @@ mod tests {
     }
 
     #[test]
-    fn wide_adaptive_groups_are_deterministic_across_thread_counts() {
-        // More slots than the legacy fixed bound of 4, all compatible, so
-        // the adaptive width actually engages; every thread count must
-        // produce bitwise-identical states (grouping is a schedule choice,
-        // never an arithmetic one).
+    fn slots_are_bitwise_deterministic_across_thread_counts() {
+        // More slots than workers, so work-stealing actually interleaves
+        // them; every thread count must produce bitwise-identical states.
         let n = 6;
         let t_end = 1.5;
-        let mut reference: Option<Vec<crate::Simulation>> = None;
+        let mut reference: Option<Vec<Simulation>> = None;
         for threads in [1usize, 3] {
             let mut batch = SimBatch::new(threads);
             for k in 0..n {
@@ -498,13 +344,45 @@ mod tests {
                 None => reference = Some(states),
                 Some(re) => {
                     for (r, s) in re.iter().zip(&states) {
-                        assert_eq!(r.state.fire.psi, s.state.fire.psi);
-                        assert_eq!(r.state.fire.tig, s.state.fire.tig);
-                        assert_eq!(r.state.fire.time.to_bits(), s.state.fire.time.to_bits());
-                        assert_eq!(r.state.atmos.theta, s.state.atmos.theta);
+                        assert_same_trajectory(r, s);
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_failing_slot_fails_alone() {
+        // A NaN ambient wind from t = 1 s poisons slot 1. The healthy slots
+        // must still reach the horizon, bitwise equal to a batch without
+        // the poisoned slot, and the error must name slot 1 only.
+        let horizon = 5.0;
+        let mut clean = SimBatch::new(2);
+        clean.push(tiny_sim(0));
+        clean.push(tiny_sim(2));
+        clean.advance_to(horizon).expect("healthy batch advances");
+
+        let mut mixed = SimBatch::new(2);
+        mixed.push(tiny_sim(0));
+        let poisoned = tiny(1)
+            .wind_shift(1.0, (f64::NAN, f64::NAN))
+            .build()
+            .expect("the builder accepts the shift");
+        let bad = mixed.push(poisoned);
+        mixed.push(tiny_sim(2));
+        let err = mixed.advance_to(horizon).expect_err("poisoned slot fails");
+        assert_eq!(err.failed.len(), 1, "{err}");
+        assert_eq!(err.failed[0].0, bad);
+        assert!(mixed.simulation(bad).time() < horizon);
+
+        for (clean_id, mixed_id) in [(0, 0), (1, 2)] {
+            let (c, m) = (clean.simulation(clean_id), mixed.simulation(mixed_id));
+            assert_eq!(m.time().to_bits(), horizon.to_bits());
+            assert_same_trajectory(c, m);
+        }
+        let clean_products = clean.products();
+        let mixed_products = mixed.products();
+        assert_eq!(clean_products[0], mixed_products[0]);
+        assert_eq!(clean_products[1], mixed_products[2]);
     }
 }

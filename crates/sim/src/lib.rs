@@ -17,9 +17,8 @@
 //!   [`Simulation`], a model + state pair that applies scheduled wind
 //!   shifts while stepping;
 //! * [`batch`] — [`SimBatch`], batched multi-fire execution: N scenarios
-//!   stepped cooperatively on the worker pool, with compatible fires
-//!   sharing SoA cross-fire level-set sweeps (bit-identical to stepping
-//!   each alone);
+//!   work-stolen across the worker pool, each stepping alone (so
+//!   bit-identical to running it on its own), with per-slot failures;
 //! * [`registry`] — named, ready-to-run scenarios (the paper's Fig. 1
 //!   fireline, circle ignition, multi-ignition merge, mid-run wind shift,
 //!   heterogeneous fuel map, uncoupled baseline, the Fig. 2 data-driven
@@ -39,7 +38,7 @@ pub mod perturb;
 pub mod registry;
 pub mod scenario;
 
-pub use batch::{SimBatch, SlotProducts};
+pub use batch::{BatchError, SimBatch, SlotProducts};
 pub use builder::{Simulation, SimulationBuilder};
 pub use perturb::{perturbed_scenarios, PerturbationSpec};
 pub use scenario::{DomainSpec, FuelPatch, FuelSpec, Scenario, WindShift, WindSpec};

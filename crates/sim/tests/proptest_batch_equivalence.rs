@@ -1,15 +1,14 @@
 //! Property suite pinning batched execution **bitwise** to independent
 //! per-slot stepping.
 //!
-//! This is the PR-5/6-style contract for the `SimBatch` layer: for random
+//! This is the bitwise contract for the `SimBatch` layer: for random
 //! small batches — mixed ignitions, winds, coupling flags, pow modes,
 //! reference steps and wind-shift schedules, on any worker count — every
-//! slot advanced through the batch (SoA cross-fire sweeps for compatible
-//! slots, work-stealing over groups) must end in exactly the state the
-//! plain [`Simulation::run_until`] loop produces, and the batch rollups
-//! must equal the rollup of the independent diagnostics stream bit for
-//! bit. Scheduling and lane packing are allowed to change *when* work
-//! happens, never *what* is computed.
+//! slot advanced through the batch (work-stolen across the pool) must end
+//! in exactly the state the plain [`Simulation::run_until`] loop produces,
+//! and the batch rollups must equal the rollup of the independent
+//! diagnostics stream bit for bit. Scheduling is allowed to change *when*
+//! work happens, never *what* is computed.
 
 use proptest::prelude::*;
 use wildfire_fire::IgnitionShape;

@@ -2,11 +2,10 @@
 //! the fig1 fireline through one [`SimBatch`] and print the per-fire
 //! product table (burned area, perimeter, peak spread/updraft/power).
 //!
-//! The batch groups bitwise-compatible fires into one SoA level-set sweep
-//! per step and work-steals the groups across the thread pool, so a small
-//! probabilistic forecast like this costs much less than eight independent
-//! runs — while every trajectory stays bit-identical to its independent
-//! counterpart.
+//! The batch work-steals its fires across the thread pool, one fire per
+//! work item, so the eight fires share the cores. The batch costs the
+//! same compute as eight independent runs, and every trajectory is
+//! bit-identical to its independent counterpart.
 //!
 //! Run with: `cargo run --release --example batch_forecast`
 
